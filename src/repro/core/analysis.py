@@ -209,6 +209,10 @@ class DecouplingAnalyzer:
         #: subject name -> coalition memo keys holding False for it
         #: (the ones a dirty subject must invalidate; True is sticky).
         self._coalition_false_keys: Dict[str, List[Tuple[FrozenSet[str], str]]] = {}
+        #: coalition -> the first subject found to couple for it.
+        #: Coupling is monotone under appends, so a witness stays valid
+        #: until the ledger generation changes.
+        self._coalition_witness: Dict[FrozenSet[str], str] = {}
         self._generation: int = -1
         self._synced: int = 0
         #: dirty (entity, subject-name) pairs awaiting the next
@@ -254,6 +258,7 @@ class DecouplingAnalyzer:
             self._entity_couples_memo.clear()
             self._coalition_couples_memo.clear()
             self._coalition_false_keys.clear()
+            self._coalition_witness.clear()
             self._pending.clear()
             self._violations = None
         total = len(ledger)
@@ -429,14 +434,20 @@ class DecouplingAnalyzer:
                 for subj in self.ledger.subjects()
             )
         self._sync()
+        if orgs in self._coalition_witness:
+            # Answered without probing: which candidate a probe would
+            # visit first depends on set iteration (hash) order, and a
+            # probe can reload a spilled segment.
+            return True
         # Only candidate subjects can make the pooled check True; for
         # every other subject _coalition_couples_one is False by the
         # same gate, so skipping them cannot change the any().
         ledger = self.ledger
-        return any(
-            self._coalition_couples_one(orgs, ledger.subject(name))
-            for name in ledger.coalition_candidate_names(orgs)
-        )
+        for name in ledger.coalition_candidate_names(orgs):
+            if self._coalition_couples_one(orgs, ledger.subject(name)):
+                self._coalition_witness[orgs] = name
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Verdicts

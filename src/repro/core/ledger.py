@@ -9,13 +9,16 @@ only at the ledger; this keeps the derivation of the paper's tables
 honest.
 
 Storage is sharded into append-only segments
-(:class:`repro.core.segments.LedgerSegment`): ``record``/``record_fast``
-append to the single *active* segment and maintain its per-segment
-buckets, while the ledger keeps compact global summaries (subject and
-entity first-appearance order, per-pair label combinations, per-pair
-sensitivity flags, per-organization sensitive-subject sets, identity
-facets).  Sealed segments are immutable and can spill their rows to
-disk as JSONL; every query below merges per-segment buckets on demand,
+(:class:`repro.core.segments.LedgerSegment`).  Every record path
+(``record``, ``record_fast``, ``ingest``, ``merged``) goes through one
+append, :meth:`Ledger._append`: it extends the single *active*
+segment's rows and folds the rows into compact global summaries
+(subject and entity first-appearance order, per-pair label
+combinations, per-pair sensitivity flags, per-organization
+sensitive-subject sets, identity facets).  Per-segment index buckets
+are built lazily, by the first query that reads them.  Sealed segments
+are immutable and can spill their rows to disk as a compact verified
+record; every query below merges per-segment buckets on demand,
 reloading spilled segments only when their rows are actually touched.
 A default-constructed ledger never auto-seals, so small runs behave
 exactly like the flat in-memory ledger always did; large runs call
@@ -47,6 +50,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -193,14 +197,6 @@ def _combo_extend(combo: FrozenSet[Label], label: Label) -> FrozenSet[Label]:
     return extended
 
 
-def _cleanup_spill_dir(path: str) -> None:
-    """Best-effort removal of a ledger-owned spill directory."""
-    try:
-        shutil.rmtree(path, ignore_errors=True)
-    except Exception:
-        pass
-
-
 class Ledger:
     """Append-only record of all observations in a protocol run."""
 
@@ -219,8 +215,7 @@ class Ledger:
         # every dict operation in the record hot loop.  ``_subjects``
         # maps each name to its Subject in first-appearance order.
         self._subjects: Dict[str, Subject] = {}
-        self._entity_order: Dict[str, None] = {}
-        self._org_order: Dict[str, None] = {}
+        #: entity -> labels it observed; keys in first-appearance order.
         self._labels_by_entity: Dict[str, Set[Label]] = {}
         #: pair -> interned frozenset of labels (see module comment).
         self._labels_by_pair: Dict[Tuple[str, str], FrozenSet[Label]] = {}
@@ -236,8 +231,6 @@ class Ledger:
         # Segment policy and accounting (see configure_segments).
         self._segment_rows: Optional[int] = None
         self._spill_dir: Optional[str] = None
-        self._owns_spill_dir: bool = False
-        self._spill_finalizer = None
         self._auto_spill: bool = False
         self._sealed_count: int = 0
         self._spilled_count: int = 0
@@ -294,12 +287,13 @@ class Ledger:
         many rows (``None``: never auto-seal -- the default, in which
         case the ledger behaves exactly like the flat single-segment
         ledger).  ``spill=True``: sealed segments immediately spill
-        their rows to JSONL under ``directory``.  When ``directory`` is
-        ``None`` a fresh private temp directory is created lazily; it
-        is unique per ledger *and* per process (``mkdtemp`` plus the
-        pid in the prefix), so parallel harness workers can never
-        collide on spill paths, and it is removed when the ledger is
-        garbage-collected or cleared.
+        their rows to a compact record under ``directory``.  When
+        ``directory`` is ``None`` a fresh private temp directory is
+        created lazily; it is unique per ledger *and* per process
+        (``mkdtemp`` plus the pid in the prefix), so parallel harness
+        workers can never collide on spill paths.  ``clear()`` deletes
+        the spill files; the directory goes when the ledger is
+        garbage-collected.
         """
         if rows is not None and rows < 1:
             raise ValueError("segment rows must be >= 1")
@@ -307,7 +301,6 @@ class Ledger:
         self._auto_spill = bool(spill)
         if directory is not None:
             self._spill_dir = directory
-            self._owns_spill_dir = False
             os.makedirs(directory, exist_ok=True)
 
     def add_seal_listener(
@@ -327,10 +320,8 @@ class Ledger:
             self._spill_dir = tempfile.mkdtemp(
                 prefix=f"repro-spill-{os.getpid()}-"
             )
-            self._owns_spill_dir = True
-            self._spill_finalizer = weakref.finalize(
-                self, _cleanup_spill_dir, self._spill_dir
-            )
+            # Removed (ignoring errors) once the ledger is collected.
+            weakref.finalize(self, shutil.rmtree, self._spill_dir, True)
         return self._spill_dir
 
     @property
@@ -368,7 +359,7 @@ class Ledger:
 
     def _spill_segment(self, segment: LedgerSegment) -> None:
         directory = self._ensure_spill_dir()
-        path = os.path.join(directory, f"segment-{segment.index:05d}.jsonl")
+        path = os.path.join(directory, f"segment-{segment.index:05d}.spill")
         dropped = segment.spill(path)
         if dropped:
             self._spilled_count += 1
@@ -390,7 +381,7 @@ class Ledger:
 
     def _loaded(self, segment: LedgerSegment) -> LedgerSegment:
         if segment.rows is None:
-            segment.load()
+            segment.load(self._subjects)
             self._reloads += 1
         return segment
 
@@ -417,40 +408,64 @@ class Ledger:
     # Record paths
     # ------------------------------------------------------------------
 
-    def _fold_summaries(self, observation: Observation) -> None:
-        """Fold one observation into every global summary."""
-        entity = observation.entity
-        org = observation.organization
-        name = observation.subject.name
-        label = observation.label
-        if name not in self._subjects:
-            self._subjects[name] = observation.subject
-        self._entity_order.setdefault(entity, None)
-        self._org_order.setdefault(org, None)
-        self._labels_by_entity.setdefault(entity, set()).add(label)
-        pair = (entity, name)
-        combo = self._labels_by_pair.get(pair)
-        if combo is None:
-            self._labels_by_pair[pair] = _combo_single(label)
-        elif label not in combo:
-            self._labels_by_pair[pair] = _combo_extend(combo, label)
-        flags = _label_flags(label)
-        if flags:
-            if flags & 1:
-                self._org_identity.setdefault(org, set()).add(name)
-            if flags & 2:
-                self._org_data.setdefault(org, set()).add(name)
-        if observation.share_info is not None:
-            self._share_pairs.add(pair)
-            self._org_share.setdefault(org, set()).add(name)
-        if label.kind is Kind.IDENTITY:
-            self._identity_facets.add(label.facet)
+    def _append(self, observations: Sequence[Observation]) -> None:
+        """The one append path: extend the active segment's rows and
+        fold the rows into every global summary.
 
-    def _append(self, observation: Observation) -> None:
-        """Fold one observation into the active segment and summaries."""
-        self._segments[-1].fold(observation)
-        self._fold_summaries(observation)
-        self._total += 1
+        Index buckets are not touched -- each segment builds them
+        lazily, on the first query that reads one.  Consecutive rows
+        usually share an entity and organization (one interaction), so
+        their per-entity and per-organization summary sets are resolved
+        once per run of equal names instead of per row.
+        """
+        segment = self._segments[-1]
+        segment.rows.extend(observations)
+        segment.count += len(observations)
+        self._total += len(observations)
+        subjects = self._subjects
+        labels_by_pair = self._labels_by_pair
+        identity_facets = self._identity_facets
+        entity = organization = None
+        for observation in observations:
+            if observation.entity != entity:
+                entity = observation.entity
+                entity_labels = self._labels_by_entity.get(entity)
+                if entity_labels is None:
+                    entity_labels = self._labels_by_entity[entity] = set()
+            if observation.organization != organization:
+                organization = observation.organization
+                org_identity = self._org_identity.setdefault(organization, set())
+                org_data = self._org_data.setdefault(organization, set())
+            subject = observation.subject
+            name = subject.name
+            if name not in subjects:
+                subjects[name] = subject
+            label = observation.label
+            pair = (entity, name)
+            combo = labels_by_pair.get(pair)
+            if combo is None or label not in combo:
+                # A label new to the pair may be new to the entity; a
+                # label the pair already holds is in every summary
+                # that depends on the label alone.
+                labels_by_pair[pair] = (
+                    _combo_single(label)
+                    if combo is None
+                    else _combo_extend(combo, label)
+                )
+                entity_labels.add(label)
+                if label.kind is Kind.IDENTITY:
+                    identity_facets.add(label.facet)
+            flags = _LABEL_FLAGS.get(label)
+            if flags is None:
+                flags = _label_flags(label)
+            if flags:
+                if flags & 1:
+                    org_identity.add(name)
+                if flags & 2:
+                    org_data.add(name)
+            if observation.share_info is not None:
+                self._share_pairs.add(pair)
+                self._org_share.setdefault(organization, set()).add(name)
 
     def _maybe_roll_segment(self) -> None:
         limit = self._segment_rows
@@ -498,7 +513,7 @@ class Ledger:
             # profile, where the observation hash was computed eagerly
             # at construction time rather than lazily on first use.
             hash(observation)
-        self._append(observation)
+        self._append((observation,))
         self._version += 1
         if _obs.ENABLED:
             registry = _get_registry()
@@ -525,9 +540,8 @@ class Ledger:
         The drive-phase counterpart of :meth:`record`:
         :meth:`Entity.observe <repro.core.entities.Entity.observe>`
         walks an item once with
-        :func:`~repro.core.values.collect_values` and folds the whole
-        value list into the active segment's buckets and the global
-        summaries here, with hoisted bucket lookups, interned
+        :func:`~repro.core.values.collect_values` and appends the whole
+        value list here in one :meth:`_append`, with interned
         channel/session strings, memoized value digests, and **one
         version bump for the whole batch** (see :attr:`version` for why
         that is sound).  The resulting observations, indices, and
@@ -540,92 +554,16 @@ class Ledger:
             return []
         channel = _intern(channel)
         session = _intern(session)
-        segment = self._segments[-1]
-        rows = segment.rows
-        seg_by_subject = segment.by_subject
-        seg_by_pair = segment.by_entity_subject
-        seg_by_org_pair = segment.by_org_subject
-        subjects = self._subjects
-        labels_by_pair = self._labels_by_pair
-        share_pairs = self._share_pairs
-        identity_facets = self._identity_facets
-        # One interaction has one entity/organization: resolve those
-        # buckets and summary sets once per batch instead of per value.
-        entity_bucket = segment.by_entity.setdefault(entity, [])
-        org_bucket = segment.by_organization.setdefault(organization, [])
-        entity_labels = self._labels_by_entity.setdefault(entity, set())
-        if entity not in self._entity_order:
-            self._entity_order[entity] = None
-        if organization not in self._org_order:
-            self._org_order[organization] = None
-        org_identity = self._org_identity.setdefault(organization, set())
-        org_data = self._org_data.setdefault(organization, set())
-        recorded: List[Observation] = []
-        for value in values:
-            subject = value.subject
-            name = subject.name
-            label = value.label
-            value_digest = value._digest_cache
-            if value_digest is None:
-                value_digest = digest_of(value)
-            observation = Observation(
-                entity,
-                organization,
-                subject,
-                label,
-                value_digest,
-                value.description,
-                time,
-                channel,
-                session,
-                value.provenance,
-                value.share_info,
+        recorded = [
+            Observation(
+                entity, organization, value.subject, value.label,
+                value._digest_cache or digest_of(value), value.description,
+                time, channel, session, value.provenance, value.share_info,
                 packet_id,
             )
-            rows.append(observation)
-            entity_bucket.append(observation)
-            org_bucket.append(observation)
-            bucket = seg_by_subject.get(name)
-            if bucket is None:
-                seg_by_subject[name] = [observation]
-            else:
-                bucket.append(observation)
-            if name not in subjects:
-                subjects[name] = subject
-            pair = (entity, name)
-            bucket = seg_by_pair.get(pair)
-            if bucket is None:
-                seg_by_pair[pair] = [observation]
-            else:
-                bucket.append(observation)
-            org_pair = (organization, name)
-            bucket = seg_by_org_pair.get(org_pair)
-            if bucket is None:
-                seg_by_org_pair[org_pair] = [observation]
-            else:
-                bucket.append(observation)
-            entity_labels.add(label)
-            combo = labels_by_pair.get(pair)
-            if combo is None:
-                labels_by_pair[pair] = _combo_single(label)
-            elif label not in combo:
-                labels_by_pair[pair] = _combo_extend(combo, label)
-            flags = _LABEL_FLAGS.get(label)
-            if flags is None:
-                flags = _label_flags(label)
-            if flags:
-                if flags & 1:
-                    org_identity.add(name)
-                if flags & 2:
-                    org_data.add(name)
-            if value.share_info is not None:
-                share_pairs.add(pair)
-                self._org_share.setdefault(organization, set()).add(name)
-            if label.kind is Kind.IDENTITY:
-                identity_facets.add(label.facet)
-            recorded.append(observation)
-        segment.count += len(recorded)
-        self._total += len(recorded)
+            for value in values
+        ]
+        self._append(recorded)
         self._version += 1
         if _obs.ENABLED:
             registry = _get_registry()
@@ -646,7 +584,7 @@ class Ledger:
         the supported way to rebuild a ledger from stored rows.
         """
         for observation in observations:
-            self._append(observation)
+            self._append((observation,))
             self._version += 1
             self._maybe_roll_segment()
 
@@ -668,8 +606,8 @@ class Ledger:
     def rows_between(self, start: int, stop: int) -> Iterator[Observation]:
         """Rows ``[start, stop)`` in record order (streaming catch-up).
 
-        Spilled segments in the range are *streamed* from their JSONL
-        files without becoming resident again -- sequential catch-up
+        Spilled segments in the range are *streamed* from their spill
+        records without becoming resident again -- sequential catch-up
         scans must not inflate the resident set.  (The streaming
         analyzer mostly avoids even the file reads by consuming each
         segment at seal time via :meth:`add_seal_listener`.)
@@ -685,24 +623,15 @@ class Ledger:
                 continue
             lo = max(0, start - seg_start)
             hi = min(segment.count, stop - seg_start)
-            if segment.resident:
-                rows = segment.rows
-                if lo == 0 and hi == segment.count:
-                    yield from rows
-                else:
-                    yield from rows[lo:hi]
-            elif lo == 0 and hi == segment.count:
-                yield from segment.stream_rows()
+            rows = segment.stream_rows(self._subjects)
+            if lo == 0 and hi == segment.count:
+                yield from rows
             else:
-                for offset, row in enumerate(segment.stream_rows()):
-                    if offset >= hi:
-                        break
-                    if offset >= lo:
-                        yield row
+                yield from rows[lo:hi]
 
     def entities(self) -> Tuple[str, ...]:
         """Entity names in order of first appearance."""
-        return tuple(self._entity_order)
+        return tuple(self._labels_by_entity)
 
     def subjects(self) -> Tuple[Subject, ...]:
         """Subjects in order of first appearance."""
@@ -723,19 +652,18 @@ class Ledger:
     def _merge_buckets(self, attribute: str, key) -> Tuple[Observation, ...]:
         segments = self._segments
         if len(segments) == 1:
-            bucket = getattr(segments[0], attribute).get(key)
+            bucket = segments[0].bucket(attribute).get(key)
             return tuple(bucket) if bucket else _EMPTY
         merged: List[Observation] = []
         for segment in segments:
-            buckets = getattr(segment, attribute)
-            if buckets is None:
+            if segment.rows is None:
                 # Spilled: the key summary says whether this segment
                 # holds any rows for the key at all, so absent keys
                 # never trigger a reload.
                 if key not in segment.keys[attribute]:
                     continue
-                buckets = getattr(self._loaded(segment), attribute)
-            bucket = buckets.get(key)
+                self._loaded(segment)
+            bucket = segment.bucket(attribute).get(key)
             if bucket:
                 merged.extend(bucket)
         return tuple(merged)
@@ -877,10 +805,7 @@ class Ledger:
     def merged(self, other: "Ledger") -> "Ledger":
         """A new ledger holding both runs' observations, time-ordered."""
         combined = Ledger()
-        for observation in sorted(
-            [*self, *other], key=lambda o: o.time
-        ):
-            combined._append(observation)
+        combined._append(sorted([*self, *other], key=lambda o: o.time))
         combined._version = combined._total
         return combined
 
@@ -890,8 +815,6 @@ class Ledger:
         self._segments = [LedgerSegment(0, 0)]
         self._total = 0
         self._subjects.clear()
-        self._entity_order.clear()
-        self._org_order.clear()
         self._labels_by_entity.clear()
         self._labels_by_pair.clear()
         self._share_pairs.clear()

@@ -1,14 +1,23 @@
 """Segment lifecycle: seal, spill, reload, stream, account, clear."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.entities import World
-from repro.core.labels import NONSENSITIVE_DATA, SENSITIVE_IDENTITY
+from repro.core.labels import (
+    NONSENSITIVE_DATA,
+    SENSITIVE_HUMAN_IDENTITY,
+    SENSITIVE_IDENTITY,
+)
 from repro.core.ledger import Ledger
-from repro.core.values import LabeledValue, Subject, digest
+from repro.core.segments import SpillCorrupted, encode_rows
+from repro.core.serialize import ledger_to_jsonl
+from repro.core.values import LabeledValue, ShareInfo, Subject, digest
 
 ALICE = Subject("alice")
 BOB = Subject("bob")
@@ -67,16 +76,39 @@ class TestSegmentRoll:
 
 
 class TestSealAndSpill:
-    def test_seal_freezes_rows_and_buckets(self):
+    def test_seal_freezes_rows_and_buckets(self, tmp_path):
         ledger = Ledger()
+        ledger.configure_segments(directory=str(tmp_path))
         _fill(ledger, 6)
+
+        def answers():
+            return (
+                ledger.by_subject(ALICE),
+                ledger.by_subject(BOB),
+                ledger.by_pair("Server", ALICE),
+                ledger.by_pair("Server", BOB),
+            )
+
+        before = answers()
+        assert [len(rows) for rows in before] == [3, 3, 3, 3]
         segment = ledger.seal_active_segment()
         assert segment.sealed
         assert isinstance(segment.rows, tuple)
-        assert isinstance(segment.by_subject["alice"], tuple)
+        assert answers() == before
         # A fresh active segment took over.
         assert ledger.active_segment is not segment
         assert ledger.active_segment.count == 0
+        # Spill, then reload through the queries: same answers.
+        assert ledger.spill_sealed_segments() == 6
+        assert not segment.resident
+        assert answers() == before
+        assert segment.resident
+        assert isinstance(segment.rows, tuple)
+        # Rows appended after the seal land after the sealed ones.
+        _fill(ledger, 1)
+        assert ledger.by_subject(ALICE)[:3] == before[0]
+        assert len(ledger.by_subject(ALICE)) == 4
+        assert ledger.by_pair("Server", BOB) == before[3]
 
     def test_seal_empty_active_segment_is_a_noop(self):
         ledger = Ledger()
@@ -128,6 +160,164 @@ class TestSealAndSpill:
             digest(f"v{i}") for i in range(2, 7)
         ]
         assert ledger.memory_accounting()["segment_reloads"] == 0
+
+
+class TestVerifiedSpill:
+    """A spill file is read back only if it still holds exactly the
+    rows that were spilled; otherwise every read path raises."""
+
+    @staticmethod
+    def _truncate(path, rows):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+
+    @staticmethod
+    def _flip_byte(path, rows):
+        with open(path, "r+b") as handle:
+            handle.seek(os.path.getsize(path) // 2)
+            byte = handle.read(1)
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte[0] ^ 0x01]))
+
+    @staticmethod
+    def _append_row(path, rows):
+        # A well-formed record of the spilled rows plus one more.
+        with open(path, "wb") as handle:
+            handle.write(encode_rows(tuple(rows) + (rows[0],)))
+
+    @pytest.mark.parametrize("corrupt", ["_truncate", "_flip_byte", "_append_row"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda ledger: ledger.by_subject(ALICE),
+            lambda ledger: list(iter(ledger)),
+            lambda ledger: list(ledger.rows_between(0, len(ledger))),
+        ],
+        ids=["by_subject", "iter", "rows_between"],
+    )
+    def test_corrupted_spill_raises(self, tmp_path, corrupt, read):
+        ledger = Ledger()
+        ledger.configure_segments(rows=4, spill=True, directory=str(tmp_path))
+        _fill(ledger, 10)
+        segment = ledger.segments[0]
+        getattr(self, corrupt)(segment.spill_path, segment.stream_rows())
+        for _ in range(2):
+            with pytest.raises(SpillCorrupted):
+                read(ledger)
+            # Never installed, never a shorter ledger.
+            assert not segment.resident
+        assert ledger.memory_accounting()["segment_reloads"] == 0
+
+    def test_spill_round_trip_is_value_equal_and_shared(self, tmp_path):
+        ledger = Ledger()
+        ledger.configure_segments(rows=5, directory=str(tmp_path))
+        for index in range(10):
+            subject = ALICE if index % 2 == 0 else BOB
+            ledger.record(
+                "Server",
+                "org-s",
+                LabeledValue(
+                    f"v{index}",
+                    SENSITIVE_HUMAN_IDENTITY if index % 3 else NONSENSITIVE_DATA,
+                    subject,
+                    "blob",
+                    provenance=("hop", f"p{index % 2}"),
+                    share_info=(
+                        ShareInfo("g", index, 10, index % 4 == 0)
+                        if index % 2
+                        else None
+                    ),
+                ),
+                # An int time must come back an int: the export prints
+                # 3 and 3.0 differently.
+                time=index if index % 2 else index + 0.5,
+                session=f"s{index % 3}",
+                packet_id=index if index % 3 else None,
+            )
+        exported = ledger_to_jsonl(ledger)
+        assert ledger.spill_sealed_segments() == 10
+        streamed = list(ledger.rows_between(0, len(ledger)))
+        assert ledger.memory_accounting()["resident_rows"] == 0
+        reloaded = list(ledger)
+        assert streamed == reloaded
+        assert ledger_to_jsonl(ledger) == exported
+        assert [type(row.time) for row in reloaded] == [float, int] * 5
+        first = reloaded[0:5]
+        # Reloaded rows share the ledger's subjects and one Label per
+        # distinct label; strings are interned.
+        assert all(row.subject is ledger.subject(row.subject.name) for row in reloaded)
+        assert len({id(row.label) for row in first}) == len({row.label for row in first})
+        assert all(row.session is sys.intern(row.session) for row in reloaded)
+
+
+_HASH_SEED_SCRIPT = """
+import json
+from repro.core.analysis import DecouplingAnalyzer
+from repro.core.labels import NONSENSITIVE_DATA, SENSITIVE_DATA, SENSITIVE_IDENTITY
+from repro.core.values import LabeledValue, Subject
+from repro.population.engine import PopulationEngine, PopulationSpec
+from repro.population.workload import (
+    PROXY_ENTITY, PROXY_ORG, TARGET_ENTITY, TARGET_ORG, build_scale_world,
+)
+
+world = build_scale_world()
+ledger = world.ledger
+ledger.configure_segments(rows=256, spill=True)
+streaming = DecouplingAnalyzer(world)
+checkpoints = []
+for arrival in PopulationEngine(PopulationSpec(users=300, seed=3)).arrivals(limit=1200):
+    subject = Subject(arrival.user_name)
+    ciphertext = f"ct-{arrival.index}"
+    address = f"ip-{arrival.user}-{arrival.session}"
+    ledger.record_fast(PROXY_ENTITY, PROXY_ORG, [
+        LabeledValue(address, SENSITIVE_IDENTITY, subject, "client address"),
+        LabeledValue(ciphertext, NONSENSITIVE_DATA, subject, "encrypted query"),
+    ], time=arrival.time, channel="wire", session=f"px-{arrival.session}")
+    ledger.record_fast(TARGET_ENTITY, TARGET_ORG, [
+        LabeledValue(ciphertext, NONSENSITIVE_DATA, subject, "encrypted query"),
+        LabeledValue(f"{arrival.action}-{arrival.index}", SENSITIVE_DATA, subject,
+                     "decrypted query"),
+    ], time=arrival.time, channel="wire", session=f"tg-{arrival.session}")
+    if arrival.index % 20 == 19:
+        checkpoints.append([str(streaming.verdict()), streaming.collusion_resistance()])
+accounting = ledger.memory_accounting()
+fresh = DecouplingAnalyzer(world)
+print(json.dumps({
+    "accounting": accounting,
+    "checkpoints": checkpoints,
+    "streaming": [str(streaming.verdict()), streaming.collusion_resistance()],
+    "fresh": [str(fresh.verdict()), fresh.collusion_resistance()],
+}))
+"""
+
+
+def test_checkpoints_never_reload_under_any_hash_seed():
+    """Regression: which coalition candidate a streaming checkpoint
+    probed first followed set (hash) order, so under some
+    ``PYTHONHASHSEED`` values it reloaded a spilled segment.  Under
+    both seeds here the old code reloaded one; the coalition witness
+    makes the count zero whatever the seed."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env.pop("REPRO_SLOW_PATH", None)
+        result = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            capture_output=True,
+            env=env,
+            check=True,
+            text=True,
+        )
+        out = json.loads(result.stdout)
+        assert out["accounting"]["segments_spilled"] > 0
+        assert out["accounting"]["segment_reloads"] == 0
+        assert len(out["checkpoints"]) == 60
+        assert out["streaming"] == out["fresh"]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 class TestAccountingAndClear:

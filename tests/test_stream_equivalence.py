@@ -7,7 +7,10 @@ interleaving of ``record``/``record_fast``/``seal_active_segment``/
 ``spill_sealed_segments`` produced the rows, the streaming analyzer's
 ``verdict()``, ``table()``, and ``minimal_recoupling_coalitions()``
 render identically to the ``naive=True`` full-scan reference -- and to
-a *fresh* analyzer over a replay of the same row prefix.
+a *fresh* analyzer over a replay of the same row prefix.  The ledger's
+own ``by_*`` queries, whose per-segment buckets are built lazily from
+per-bucket cursors, must equal a plain filter over the rows after every
+step.
 """
 
 from hypothesis import given, strategies as st
@@ -144,6 +147,59 @@ def test_streaming_equals_naive_at_every_checkpoint(ops, segment_rows, spill):
         if op[0] == "check":
             _assert_matches_naive(world, streaming)
     _assert_matches_naive(world, streaming)
+
+
+def _bucket_queries(ledger):
+    answers = []
+    for entity in SERVERS:
+        answers.append(ledger.by_entity(entity))
+        for subject in SUBJECTS.values():
+            answers.append(ledger.by_pair(entity, subject))
+    for org in ORGS.values():
+        answers.append(ledger.by_organization(org))
+        for subject in SUBJECTS.values():
+            answers.append(ledger.by_org_subject(org, subject))
+    for subject in SUBJECTS.values():
+        answers.append(ledger.by_subject(subject))
+    return answers
+
+
+def _filtered_scan(ledger):
+    rows = list(ledger)
+    answers = []
+    for entity in SERVERS:
+        answers.append(tuple(r for r in rows if r.entity == entity))
+        for subject in SUBJECTS.values():
+            answers.append(
+                tuple(r for r in rows if r.entity == entity and r.subject == subject)
+            )
+    for org in ORGS.values():
+        answers.append(tuple(r for r in rows if r.organization == org))
+        for subject in SUBJECTS.values():
+            answers.append(
+                tuple(
+                    r for r in rows if r.organization == org and r.subject == subject
+                )
+            )
+    for subject in SUBJECTS.values():
+        answers.append(tuple(r for r in rows if r.subject == subject))
+    return answers
+
+
+@given(ops=OPS, segment_rows=st.sampled_from([2, 3, 1000]), spill=st.booleans())
+def test_bucket_queries_equal_filtered_scan_after_every_step(ops, segment_rows, spill):
+    """Every ``by_*`` query, interleaved with appends, seals and spills,
+    equals a filter over ``iter(ledger)``: a bucket cursor left behind
+    by an append would drop the newer rows.  The queries run before the
+    scan so spilled segments are first reached through the queries'
+    key summaries and reloads."""
+    world = _build_world()
+    ledger = world.ledger
+    ledger.configure_segments(rows=segment_rows, spill=spill)
+    for op in ops:
+        _apply(world, op)
+        answers = _bucket_queries(ledger)
+        assert answers == _filtered_scan(ledger)
 
 
 @given(ops=OPS, segment_rows=st.sampled_from([2, 5]))
