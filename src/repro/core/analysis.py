@@ -50,23 +50,31 @@ __all__ = [
 
 
 class _DisjointSet:
-    """Union-find over arbitrary hashable tokens."""
+    """Union-find over hashable tokens: union by size, iterative find."""
 
     def __init__(self) -> None:
         self._parent: Dict[object, object] = {}
+        self._size: Dict[object, int] = {}
 
     def find(self, token: object) -> object:
-        parent = self._parent.setdefault(token, token)
-        if parent == token:
+        parent = self._parent
+        root = parent.setdefault(token, token)
+        if root == token:
             return token
-        root = self.find(parent)
-        self._parent[token] = root
+        while parent[root] != root:
+            root = parent[root]
+        while token != root:
+            parent[token], token = root, parent[token]
         return root
 
     def union(self, a: object, b: object) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
+            sa, sb = self._size.get(ra, 1), self._size.get(rb, 1)
+            if sa > sb:
+                ra, rb = rb, ra
             self._parent[ra] = rb
+            self._size[rb] = sa + sb
 
 
 @dataclass(frozen=True)
@@ -118,47 +126,51 @@ class BreachReport:
         return not self.coupled_subjects
 
 
+def _link_components(pool: Sequence[Observation]) -> Tuple[_DisjointSet, List[int]]:
+    """The linkage rule: union-find over a pool's digests and sessions.
+
+    Reads each member's ``value_digest``, ``session`` and ``share_info``
+    only; a member's component is ``find(value_digest)``.  Returns the
+    union-find and the first position of each reconstructable share
+    group (every index present, last-seen total), its digests merged.
+    """
+    dsu = _DisjointSet()
+    union = dsu.union
+    share_groups: Dict[str, List[int]] = {}
+    for position, obs in enumerate(pool):
+        if obs.session:
+            union(obs.value_digest, ("session", obs.session))
+        if obs.share_info is not None:
+            share_groups.setdefault(obs.share_info.group, []).append(position)
+    reconstructed: List[int] = []
+    for positions in share_groups.values():
+        members = [pool[p] for p in positions]
+        indices = {m.share_info.index for m in members}
+        if len(indices) >= members[-1].share_info.total:
+            for other in members[1:]:
+                union(members[0].value_digest, other.value_digest)
+            reconstructed.append(positions[0])
+    return dsu, reconstructed
+
+
 def _observations_couple(observations: Sequence[Observation]) -> bool:
     """Linkage-based coupling over one subject's pooled observations."""
     if not observations:
         return False
-    dsu = _DisjointSet()
-    share_indices: Dict[str, Set[int]] = {}
-    share_totals: Dict[str, int] = {}
-    share_obs_tokens: Dict[str, List[int]] = {}
-    for index, obs in enumerate(observations):
-        token = ("obs", index)
-        if obs.session:
-            dsu.union(token, ("session", obs.session))
-        dsu.union(token, ("digest", obs.value_digest))
-        if obs.share_info is not None:
-            group = obs.share_info.group
-            share_indices.setdefault(group, set()).add(obs.share_info.index)
-            share_totals[group] = obs.share_info.total
-            share_obs_tokens.setdefault(group, []).append(index)
-
-    # Reconstructable share groups: merge their components and mark the
-    # merged component as holding reconstructed sensitive data.
-    reconstructed_roots: Set[object] = set()
-    for group, indices in share_indices.items():
-        if len(indices) >= share_totals[group]:
-            tokens = share_obs_tokens[group]
-            first = ("obs", tokens[0])
-            for other in tokens[1:]:
-                dsu.union(first, ("obs", other))
-            reconstructed_roots.add(dsu.find(first))
-
+    dsu, reconstructed = _link_components(observations)
+    find = dsu.find
     identity_roots: Set[object] = set()
     data_roots: Set[object] = set()
-    for index, obs in enumerate(observations):
-        root = dsu.find(("obs", index))
-        if obs.label.is_identity and obs.label.is_sensitive:
-            identity_roots.add(root)
-        if obs.label.is_data and obs.label.is_sensitive:
-            data_roots.add(root)
+    for obs in observations:
+        label = obs.label
+        if label.is_sensitive:
+            if label.is_identity:
+                identity_roots.add(find(obs.value_digest))
+            if label.is_data:
+                data_roots.add(find(obs.value_digest))
     # Reconstructed share groups count as sensitive data in whatever
-    # component they ended up in (re-canonicalized after all unions).
-    data_roots |= {dsu.find(root) for root in reconstructed_roots}
+    # component they ended up in.
+    data_roots |= {find(observations[p].value_digest) for p in reconstructed}
     return bool(identity_roots & data_roots)
 
 
@@ -608,7 +620,8 @@ class DecouplingAnalyzer:
                 identified.append(subject)
             if cell.knows_sensitive_data:
                 with_data.append(subject)
-            if _observations_couple(pool):
+            # Gated and memoized; collusion analysis usually answered it.
+            if self._coalition_couples_one(orgs, subject):
                 coupled.append(subject)
         return BreachReport(
             organization=organization,

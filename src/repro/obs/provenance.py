@@ -43,12 +43,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.analysis import BreachReport, _DisjointSet
+from repro.core.analysis import BreachReport, _link_components
 from repro.core.labels import Label
 from repro.core.ledger import Ledger, Observation
 from repro.core.serialize import label_to_dict
+from repro.core.values import ShareInfo
 
 __all__ = [
     "ProvenanceError",
@@ -680,54 +682,41 @@ def _find_witness(
 ) -> Optional[Tuple[Dict[str, Any], Dict[str, Any], str]]:
     """Earliest (identity, data, link) witness triple in a linked pool.
 
-    Mirrors :func:`repro.core.analysis._observations_couple` -- same
-    session/digest/share-group unions -- but keeps the witnesses rather
-    than just the boolean.
+    Links the pool with :func:`repro.core.analysis._link_components`,
+    the rule :func:`repro.core.analysis._observations_couple` uses, but
+    keeps the witnesses rather than just the boolean.
     """
     if not pool:
         return None
-    dsu = _DisjointSet()
-    share_indices: Dict[str, Set[int]] = {}
-    share_totals: Dict[str, int] = {}
-    share_nodes: Dict[str, List[Dict[str, Any]]] = {}
-    for position, node in enumerate(pool):
-        token = ("obs", position)
-        if node["session"]:
-            dsu.union(token, ("session", node["session"]))
-        dsu.union(token, ("digest", node["value_digest"]))
-        share = node.get("share_info")
-        if share is not None:
-            share_indices.setdefault(share["group"], set()).add(share["index"])
-            share_totals[share["group"]] = share["total"]
-            share_nodes.setdefault(share["group"], []).append(node)
-
-    reconstructed: List[Tuple[str, Dict[str, Any]]] = []
-    for group, indices in share_indices.items():
-        if len(indices) >= share_totals[group]:
-            members = share_nodes[group]
-            first = ("obs", pool.index(members[0]))
-            for other in members[1:]:
-                dsu.union(first, ("obs", pool.index(other)))
-            reconstructed.append((group, members[0]))
+    views = [
+        SimpleNamespace(
+            value_digest=n["value_digest"],
+            session=n["session"],
+            share_info=ShareInfo(**n["share_info"]) if n.get("share_info") else None,
+        )
+        for n in pool
+    ]
+    dsu, reconstructed = _link_components(views)
 
     def root(node: Dict[str, Any]) -> object:
-        return dsu.find(("obs", pool.index(node)))
+        return dsu.find(node["value_digest"])
 
-    identity_nodes = [
-        n
-        for n in pool
-        if n["label"]["kind"] == "identity" and n["label"]["sensitivity"] == "sensitive"
-    ]
-    data_nodes = [
-        n
-        for n in pool
-        if n["label"]["kind"] == "data" and n["label"]["sensitivity"] == "sensitive"
-    ]
-    for identity_node in sorted(identity_nodes, key=lambda n: (n["time"], n["index"])):
+    def is_sensitive(node: Dict[str, Any], kind: str) -> bool:
+        label = node["label"]
+        return label["kind"] == kind and label["sensitivity"] == "sensitive"
+
+    def earliest(node: Dict[str, Any]) -> Tuple[float, int]:
+        return node["time"], node["index"]
+
+    # The earliest sensitive-data node of each linkage component.
+    first_data: Dict[object, Dict[str, Any]] = {}
+    for node in sorted((n for n in pool if is_sensitive(n, "data")), key=earliest):
+        first_data.setdefault(root(node), node)
+    identity_nodes = (n for n in pool if is_sensitive(n, "identity"))
+    for identity_node in sorted(identity_nodes, key=earliest):
         identity_root = root(identity_node)
-        for data_node in sorted(data_nodes, key=lambda n: (n["time"], n["index"])):
-            if root(data_node) != identity_root:
-                continue
+        data_node = first_data.get(identity_root)
+        if data_node is not None:
             if (
                 identity_node["session"]
                 and identity_node["session"] == data_node["session"]
@@ -740,8 +729,10 @@ def _find_witness(
             return identity_node, data_node, link
         # No directly sensitive data in the component: a reconstructable
         # share group may supply it (Prio-style coalitions).
-        for group, member in reconstructed:
+        for position in reconstructed:
+            member = pool[position]
             if root(member) == identity_root:
+                group = member["share_info"]["group"]
                 return (
                     identity_node,
                     member,

@@ -35,9 +35,10 @@ and growing the population never raises any subject's linkability.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.analysis import DecouplingAnalyzer
 from repro.core.ledger import Ledger, Observation
@@ -73,6 +74,20 @@ INFER_CO_RESIDENT = 0.5
 INFER_COUPLED = 1.0
 
 
+def _population_terms(
+    population: Mapping[str, float],
+) -> Tuple[int, float, Callable[[str], float]]:
+    """Anonymity-set size, entropy (bits) and :func:`subject_linkability`
+    as a function of the subject, each computed once per population."""
+    positive = {name: w for name, w in population.items() if w > 0}
+    size = anonymity_set_size(positive)
+    bits, total = entropy_bits(positive), sum(positive.values())
+    if size <= 1:
+        return size, bits, lambda subject: 1.0
+    effective = 2.0 ** (-bits)
+    return size, bits, lambda s: 0.5 * (positive.get(s, 0.0) / total) + 0.5 * effective
+
+
 def subject_linkability(population: Mapping[str, float], subject: str) -> float:
     """How pinnable ``subject`` is against a weighted population, in [0, 1].
 
@@ -83,13 +98,7 @@ def subject_linkability(population: Mapping[str, float], subject: str) -> float:
     1.0 (nowhere to hide).  Growing the population (adding subjects,
     or weight to *other* subjects) never raises this.
     """
-    positive = {name: w for name, w in population.items() if w > 0}
-    if anonymity_set_size(positive) <= 1:
-        return 1.0
-    total = sum(positive.values())
-    prior = positive.get(subject, 0.0) / total
-    effective = 2.0 ** (-entropy_bits(positive))
-    return 0.5 * prior + 0.5 * effective
+    return _population_terms(population)[2](subject)
 
 
 def inferability_rung(
@@ -286,6 +295,13 @@ class RiskReport:
         self._ledger = ledger
         self._analyzer = analyzer
         self._graph = graph
+        self._linkability = _population_terms(population)[2]
+        #: the worst sensitivity any non-user entity holds, per subject
+        self._sensitivity: Dict[str, float] = {}
+        for p in self.non_user_pairs():
+            self._sensitivity[p.subject] = max(
+                self._sensitivity.get(p.subject, p.sensitivity), p.sensitivity
+            )
 
     # -- lookups -------------------------------------------------------
 
@@ -353,15 +369,8 @@ class RiskReport:
         decays as 1/cr, so each added decoupled party buys less -- the
         section 4.2 diminishing-returns curve, made quantitative.
         """
-        sens = max(
-            (
-                p.sensitivity
-                for p in self.pairs
-                if p.subject == subject and not p.is_user
-            ),
-            default=0.0,
-        )
-        link = subject_linkability(self.population, subject)
+        sens = self._sensitivity.get(subject, 0.0)
+        link = self._linkability(subject)
         resistance = self.subject_resistance.get(
             subject, len(self.organizations) + 1
         )
@@ -394,29 +403,36 @@ class RiskReport:
         """
         analyzer = self._require_analyzer()
         ledger = self._ledger
+        subjects = ledger.subjects()
+        weight = self.profile.weight_for
+        # Each organization's pool about each subject, summarized once as
+        # (worst sensitivity, holds ▲, holds ●); a coalition's pooled
+        # summary is the max / any over its members' summaries.
+        summary: Dict[Tuple[str, str], Tuple[float, bool, bool]] = {}
+        for org in self.organizations:
+            for subject in subjects:
+                pool = ledger.by_org_subject(org, subject)
+                if pool:
+                    summary[(org, subject.name)] = (
+                        max(weight(o.label, o.description) for o in pool),
+                        any(o.label.is_identity and o.label.is_sensitive for o in pool),
+                        any(o.label.is_data and o.label.is_sensitive for o in pool),
+                    )
         results: List[CoalitionRisk] = []
         limit = max_size if max_size is not None else len(self.organizations)
         for size in range(1, limit + 1):
             for combo in itertools.combinations(self.organizations, size):
-                for subject in ledger.subjects():
-                    pool: List[Observation] = []
-                    for org in combo:
-                        pool.extend(ledger.by_org_subject(org, subject))
-                    if not pool:
+                for subject in subjects:
+                    name = subject.name
+                    parts = [summary[o, name] for o in combo if (o, name) in summary]
+                    if not parts:
                         continue
-                    sens = max(
-                        self.profile.weight_for(o.label, o.description)
-                        for o in pool
-                    )
+                    sens = max(part[0] for part in parts)
                     couples = analyzer.coalition_couples(frozenset(combo), subject)
-                    has_identity = any(
-                        o.label.is_identity and o.label.is_sensitive for o in pool
-                    )
-                    has_data = any(
-                        o.label.is_data and o.label.is_sensitive for o in pool
-                    )
+                    has_identity = any(part[1] for part in parts)
+                    has_data = any(part[2] for part in parts)
                     rung = inferability_rung(has_identity, has_data, couples)
-                    link = subject_linkability(self.population, subject.name)
+                    link = self._linkability(name)
                     score = (
                         self.profile.w_sensitivity * sens
                         + self.profile.w_linkability * link
@@ -527,13 +543,11 @@ class RiskReport:
 # ----------------------------------------------------------------------
 
 
-def _rank_pool(
-    pool: Sequence[Observation], index_of: Dict[int, int]
-) -> List[Tuple[Observation, int]]:
-    """The pool with global ledger indices, earliest first."""
-    entries = [(obs, index_of[id(obs)]) for obs in pool]
-    entries.sort(key=lambda entry: (entry[0].time, entry[1]))
-    return entries
+def _earliest(
+    ranked: List[Tuple[Observation, int]], match: Callable[[Observation], bool]
+) -> Optional[int]:
+    """Ledger index of the earliest ranked observation matching, if any."""
+    return next((idx for obs, idx in ranked if match(obs)), None)
 
 
 def _subject_resistance(
@@ -595,11 +609,10 @@ def score_run(
         if population is not None
         else {subject.name: 1.0 for subject in ledger.subjects()}
     )
-    positive = {name: w for name, w in pop.items() if w > 0}
-    set_size = anonymity_set_size(positive)
-    pop_entropy = entropy_bits(positive)
+    set_size, pop_entropy, linkability = _population_terms(pop)
 
     index_of = {id(obs): i for i, obs in enumerate(ledger)}
+    weight_for = functools.lru_cache(maxsize=None)(profile.weight_for)
     w_s, w_l, w_i = (
         profile.w_sensitivity,
         profile.w_linkability,
@@ -611,51 +624,31 @@ def score_run(
     for entity in world.entities:
         for subject in ledger.subjects_of_entity(entity.name):
             pool = ledger.by_pair(entity.name, subject)
-            ranked = _rank_pool(pool, index_of)
-            weights = [
-                profile.weight_for(obs.label, obs.description)
-                for obs, _ in ranked
-            ]
+            ranked = sorted(
+                ((obs, index_of[id(obs)]) for obs in pool),
+                key=lambda entry: (entry[0].time, entry[1]),
+            )
+            weights = [weight_for(obs.label, obs.description) for obs, _ in ranked]
             sens = max(weights)
-            sens_at = next(
-                idx for (_, idx), w in zip(ranked, weights) if w == sens
-            )
-            link = subject_linkability(pop, subject.name)
+            sens_obs, sens_at = ranked[weights.index(sens)]
+            link = linkability(subject.name)
             couples = analyzer.entity_couples(entity.name, subject)
-            identity_at = next(
-                (
-                    idx
-                    for (obs, idx) in ranked
-                    if obs.label.is_identity and obs.label.is_sensitive
-                ),
-                None,
+            identity_at = _earliest(
+                ranked, lambda o: o.label.is_identity and o.label.is_sensitive
             )
-            data_at = next(
-                (
-                    idx
-                    for (obs, idx) in ranked
-                    if obs.label.is_data and obs.label.is_sensitive
-                ),
-                None,
+            data_at = _earliest(
+                ranked, lambda o: o.label.is_data and o.label.is_sensitive
             )
             if data_at is None and couples:
                 # Coupling without directly sensitive data means a
                 # reconstructed share group; its earliest share is the
                 # data-side witness.
-                data_at = next(
-                    (
-                        idx
-                        for (obs, idx) in ranked
-                        if obs.share_info is not None
-                    ),
-                    None,
-                )
+                data_at = _earliest(ranked, lambda o: o.share_info is not None)
             rung = inferability_rung(
                 identity_at is not None, data_at is not None, couples
             )
 
             terms: List[RiskTerm] = []
-            sens_obs = ledger.observations[sens_at]
             terms.append(
                 RiskTerm(
                     component="sensitivity",

@@ -258,6 +258,26 @@ class TestRiskReport:
             report.subject_exposure(name) for name in report.subjects
         )
 
+    def test_exposure_takes_worst_non_user_sensitivity_only(self):
+        world = _world_with("Resolver")
+        user = world.get("User")
+        user.observe([_identity(), _data()], session="self-1")
+        user.observe(_data(BOB, "query-2"), session="self-2")
+        token = LabeledValue("token-1", NONSENSITIVE_IDENTITY, ALICE, "token")
+        world.get("Resolver").observe(token, session="pkt:1")
+        report = score_run(world=world)
+        w = report.profile
+        # alice: the Resolver's △ counts, the user's ● does not; bob:
+        # no non-user entity observed him at all.
+        for name, sens in (("alice", w.weight_for(token.label)), ("bob", 0.0)):
+            link = subject_linkability(report.population, name)
+            resistance = report.subject_resistance[name]
+            assert report.subject_exposure(name) == (
+                w.w_sensitivity * sens
+                + w.w_linkability * link
+                + w.w_inferability * (1.0 / resistance)
+            )
+
     def test_max_pair_is_stable_first_of_maxima(self):
         report = score_run(run_scenario("odoh"))
         best = report.max_pair()
