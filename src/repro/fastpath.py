@@ -6,8 +6,9 @@ The simulation hot path (``Network.send`` -> ``Simulator`` ->
 
 * the **fast path** -- slotted event records, pre-resolved observer
   lists, memoized ``estimate_size``/``digest`` caches, and batched
-  ledger appends -- taken whenever full-fidelity observability is off
-  and no fault injector is installed; and
+  ledger appends -- taken whenever full-fidelity observability is off,
+  fault plan or not (a fault injector's send- and arrival-time checks
+  run inside it); and
 * the **slow path** -- the original per-packet pipeline (per-event
   lambda closures, uncached size/digest computation, one ledger append
   and version bump per observation), preserved verbatim as the
@@ -24,7 +25,9 @@ every delivery as a span -- forces the slow path.  ``counters`` and
 ``sampled`` keep slotted delivery and fold their metrics through the
 ``MetricsBatch`` accumulator; in ``sampled`` mode only the seeded
 sampler's chosen packets detour through the traced pipeline while the
-rest stay fast.
+rest stay fast.  The one exception is a faulted run in ``sampled``
+mode: there the sampler decides per copy at arrival, after the fault
+check, so every copy takes the traced route.
 
 Set ``REPRO_SLOW_PATH=1`` in the environment (read once at import), or
 call :func:`set_slow_path` from tests, to force the slow path

@@ -5,7 +5,11 @@ and a live :class:`~repro.net.network.Network`.  Installation registers
 the runtime as the network's fault injector (consulted on every send
 and every delivery), schedules crash events, arms the network's
 ``transact`` timeout when the plan can actually make a request go
-unanswered, and promotes curious relays to wire observers.
+unanswered, and promotes curious relays to wire observers.  The glob
+matching is done once per link, not per packet: the first packet on a
+``src -> dst`` address pair compiles its host names, combined link
+impairment and severing partitions, and adding a host clears the
+compiled links.
 
 The runtime also implements the *protocol-level* half of resilience:
 :meth:`attempt` wraps one synchronous operation in the policy's
@@ -19,22 +23,26 @@ without touching their code.
 
 Determinism: one ``random.Random(plan.seed)`` drives every draw, and
 draws happen in packet-send order, so identical plans reproduce
-identical runs byte-for-byte.
+identical runs byte-for-byte.  Compiling links changes no draw: a
+packet draws exactly what the per-packet evaluation drew
+(``tests/test_fault_link_cache.py`` checks this against that
+evaluation, kept there as the oracle).
 """
 
 from __future__ import annotations
 
 import random
 from fnmatch import fnmatchcase
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.net.addressing import Address
 from repro.net.network import Network, SimHost, TransactTimeout, WireObserver
 from repro.net.packets import Packet
 from repro.obs import runtime as _obs
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import NOOP_SPAN, get_tracer
 
-from .plan import FaultPlan
+from .plan import FaultPlan, Partition
 from .policy import FaultStats, ResiliencePolicy
 
 __all__ = ["FaultRuntime", "FaultPlanHook"]
@@ -47,6 +55,13 @@ _REORDER_PENALTY = 2.5
 #: Where a duplicated copy lands relative to the original, as a
 #: multiple of the link latency.
 _DUPLICATE_LAG = 0.5
+
+#: One compiled link: source and destination host names, the combined
+#: ``(loss, duplicate, reorder, jitter)`` of the matching link faults
+#: (``None`` when none matches), and the partitions that sever it.
+_Link = Tuple[
+    str, str, Optional[Tuple[float, float, float, float]], Tuple[Partition, ...]
+]
 
 
 class FaultRuntime:
@@ -64,6 +79,8 @@ class FaultRuntime:
         self.rng = random.Random(plan.seed)
         self.stats = FaultStats()
         self._down: Dict[str, float] = {}  # host name -> crash time
+        #: (src address, dst address) -> what :meth:`_link` compiled.
+        self._links: Dict[Tuple[str, str], _Link] = {}
         self._installed = False
 
     # ------------------------------------------------------------------
@@ -122,61 +139,92 @@ class FaultRuntime:
     # Injector interface (called by Network)
     # ------------------------------------------------------------------
 
-    def _host_name(self, address: Any) -> str:
-        host = self.network._hosts.get(address)
-        return host.name if host is not None else str(address)
+    def _link(self, src: Address, dst: Address) -> _Link:
+        """Compile (and cache) the plan's decisions for ``src -> dst``.
 
-    def _is_down(self, name: str) -> bool:
-        return name in self._down
-
-    def _severed(self, src_name: str, dst_name: str) -> bool:
-        now = self.network.simulator.now
-        return any(
-            part.active(now) and part.severs(src_name, dst_name)
+        An address with no host goes by its dotted-quad string; each
+        impairment rate is the max over the matching link faults.  Per
+        packet only the crash set and the severing partitions'
+        ``active(now)`` are left to test.
+        """
+        hosts = self.network._hosts
+        src_host = hosts.get(src)
+        dst_host = hosts.get(dst)
+        src_name = src_host.name if src_host is not None else str(src)
+        dst_name = dst_host.name if dst_host is not None else str(dst)
+        impairment = None
+        for fault in self.plan.links:
+            if fault.matches(src_name, dst_name):
+                if impairment is None:
+                    impairment = (0.0, 0.0, 0.0, 0.0)
+                loss, duplicate, reorder, jitter = impairment
+                impairment = (
+                    max(loss, fault.loss),
+                    max(duplicate, fault.duplicate),
+                    max(reorder, fault.reorder),
+                    max(jitter, fault.jitter),
+                )
+        severing = tuple(
+            part
             for part in self.plan.partitions
+            if part.severs(src_name, dst_name)
         )
+        link = (src_name, dst_name, impairment, severing)
+        self._links[(src.value, dst.value)] = link
+        return link
+
+    def on_topology_change(self) -> None:
+        """A host was added: names (and so every compiled link) may change."""
+        self._links.clear()
+
+    def _severed(self, severing: Tuple[Partition, ...]) -> bool:
+        now = self.network.simulator.now
+        for part in severing:
+            if part.active(now):
+                return True
+        return False
 
     def on_send(self, packet: Packet, delay: float) -> Optional[List[float]]:
         """Impair one outgoing packet.
 
         Returns ``None`` to leave the packet untouched, ``[]`` to drop
         it, or a list of delivery delays (one per copy -- length two
-        means a duplicate).
+        means a duplicate).  The draws -- loss, jitter, reorder,
+        duplicate, each only when its rate is non-zero -- come from the
+        plan's one RNG in that order, packet by packet.
         """
-        src = self._host_name(packet.src)
-        dst = self._host_name(packet.dst)
-        if self._is_down(src) or self._is_down(dst):
+        src = packet.src
+        dst = packet.dst
+        link = self._links.get((src.value, dst.value))
+        if link is None:
+            link = self._link(src, dst)
+        src_name, dst_name, impairment, severing = link
+        down = self._down
+        if down and (src_name in down or dst_name in down):
             self.stats.crash_drops += 1
             self._count_drop("crash")
             return []
-        if self._severed(src, dst):
+        if severing and self._severed(severing):
             self.stats.partition_drops += 1
             self._count_drop("partition")
             return []
-        loss = duplicate = reorder = jitter = 0.0
-        matched = False
-        for fault in self.plan.links:
-            if fault.matches(src, dst):
-                matched = True
-                loss = max(loss, fault.loss)
-                duplicate = max(duplicate, fault.duplicate)
-                reorder = max(reorder, fault.reorder)
-                jitter = max(jitter, fault.jitter)
-        if not matched:
+        if impairment is None:
             return None
-        if loss > 0.0 and self.rng.random() < loss:
+        loss, duplicate, reorder, jitter = impairment
+        rng = self.rng
+        if loss > 0.0 and rng.random() < loss:
             self.stats.loss_drops += 1
             self._count_drop("loss")
             return []
         impaired = delay
         if jitter > 0.0:
-            impaired += self.rng.uniform(0.0, jitter)
+            impaired += rng.uniform(0.0, jitter)
             self.stats.jittered += 1
-        if reorder > 0.0 and self.rng.random() < reorder:
+        if reorder > 0.0 and rng.random() < reorder:
             impaired += delay * _REORDER_PENALTY
             self.stats.reordered += 1
         delays = [impaired]
-        if duplicate > 0.0 and self.rng.random() < duplicate:
+        if duplicate > 0.0 and rng.random() < duplicate:
             delays.append(impaired + delay * _DUPLICATE_LAG)
             self.stats.duplicates += 1
             if _obs.COUNTERS:
@@ -190,13 +238,17 @@ class FaultRuntime:
         destination crashed -- or whose link partitioned -- while they
         were on the wire.
         """
-        dst = self._host_name(packet.dst)
-        if self._is_down(dst):
+        src = packet.src
+        dst = packet.dst
+        link = self._links.get((src.value, dst.value))
+        if link is None:
+            link = self._link(src, dst)
+        _, dst_name, _, severing = link
+        if self._down and dst_name in self._down:
             self.stats.crash_drops += 1
             self._count_drop("crash")
             return False
-        src = self._host_name(packet.src)
-        if self._severed(src, dst):
+        if severing and self._severed(severing):
             self.stats.partition_drops += 1
             self._count_drop("partition")
             return False
@@ -285,16 +337,18 @@ class FaultRuntime:
         simulator.run_until(lambda: simulator.now >= deadline)
 
     def guard_phase(self, phase: str, fn: Callable[[], Any]) -> Any:
-        """Run one lifecycle phase, absorbing fault-induced errors.
+        """Run one lifecycle phase, absorbing fault-induced timeouts.
 
         A faulted run must still reach ``analyze`` -- a half-driven
         world with a recorded error is the datum, not a crash.  Only
-        ``drive``/``settle`` are guarded; programming errors in
-        ``build``/``analyze`` should still raise.
+        ``drive``/``settle`` are guarded, and only against
+        :class:`TransactTimeout` (a request the plan left unanswered
+        past the policy's retries); any other exception is a
+        programming error and propagates.
         """
         try:
             return fn()
-        except Exception as error:
+        except TransactTimeout as error:
             self.stats.phase_errors.append(
                 f"{phase}: {type(error).__name__}: {error}"
             )

@@ -47,17 +47,20 @@ _DELIVERY_POOL_LIMIT = 1024
 class _Delivery:
     """A slotted, reusable delivery event.
 
-    The fast path schedules one of these per packet instead of a
+    Every untraced packet copy -- with or without a fault injector --
+    is scheduled as one of these instead of a
     ``lambda: self._deliver(packet)`` closure: the arguments live in
     slots rather than captured cells, and after firing the event
     returns to the owning network's free list to be re-armed by the
     next ``send`` -- steady-state scheduling allocates no closures.
 
-    Preconditions are re-checked at *fire* time, not just send time:
-    if a fault injector was installed (or observability enabled) while
-    the packet was on the wire, delivery falls back to the fully
-    instrumented ``_deliver`` so ``on_deliver`` crash/partition checks
-    and span ceremony are never skipped.
+    At fire time the event asks the injector (if any) whether the
+    packet may still arrive -- a crash or partition that began while
+    it was on the wire drops it here -- and then runs
+    ``_deliver_fast``.  The tracing preconditions are re-checked at
+    fire time too: if observability was switched to a traced tier
+    while the packet was in flight, delivery goes through the fully
+    instrumented ``_deliver`` instead, so no span is skipped.
     """
 
     __slots__ = ("network", "packet")
@@ -73,14 +76,20 @@ class _Delivery:
         pool = network._delivery_pool
         if len(pool) < _DELIVERY_POOL_LIMIT:
             pool.append(self)
+        injector = network._fault_injector
         if (
-            network._fault_injector is None
-            and not _obs.ENABLED
-            and not _fastpath.SLOW_PATH
+            _obs.ENABLED
+            or _fastpath.SLOW_PATH
+            or (injector is not None and _obs.TRACING)
         ):
+            network._deliver(packet)
+        elif injector is None or injector.on_deliver(packet):
             network._deliver_fast(packet)
         else:
-            network._deliver(packet)
+            # The destination crashed (or the link partitioned) while
+            # this packet was on the wire.
+            network.packets_in_flight -= 1
+            network._count_dropped()
 
 
 class TransactTimeout(RuntimeError):
@@ -237,8 +246,9 @@ class Network:
         self._latency_cache: Dict[Tuple[Address, Address], float] = {}
         self._delivery_pool: List[_Delivery] = []
         #: Deliveries that went through the batched fast pipeline --
-        #: zero whenever observability or a fault injector is active
-        #: (asserted by tests/test_drive_fastpath.py).
+        #: every untraced one, fault plan or not; zero in ``full``
+        #: mode, under ``REPRO_SLOW_PATH=1`` and for a faulted run in
+        #: ``sampled`` mode (asserted by tests/test_drive_fastpath.py).
         self.fast_deliveries = 0
         # Per-network id counters: two identical runs on two Network
         # instances assign identical packet/request ids, which keeps
@@ -257,8 +267,9 @@ class Network:
         self.packets_in_flight = 0
         #: Optional fault injector (see :mod:`repro.faults.runtime`):
         #: consulted on every send (loss/duplication/reordering/jitter)
-        #: and every delivery (crashes, partitions).  ``None`` -- the
-        #: default -- is a zero-overhead pass-through.
+        #: and every delivery (crashes, partitions), and told when a
+        #: host is added.  ``None`` -- the default -- is a
+        #: zero-overhead pass-through.
         self._fault_injector: Optional[Any] = None
         #: When set, ``transact`` raises :class:`TransactTimeout` after
         #: this many simulated seconds without a response instead of
@@ -286,6 +297,8 @@ class Network:
         address = self.allocator.allocate(prefix)
         host = SimHost(name, entity, address, self, identity=identity)
         self._hosts[address] = host
+        if self._fault_injector is not None:
+            self._fault_injector.on_topology_change()
         return host
 
     def host_at(self, address: Address) -> SimHost:
@@ -385,56 +398,55 @@ class Network:
             self._count_dropped()
             return packet  # lost in transit: never delivered
         injector = self._fault_injector
-        if injector is None and not _obs.ENABLED and not _fastpath.SLOW_PATH:
-            sampler = _obs.SAMPLER
-            if sampler is not None and sampler.decide("deliver"):
-                # Sampled tier, head decision says trace: schedule an
-                # explicitly traced delivery, capturing the span active
-                # now so the causal parent survives the flight.
-                origin = get_tracer().current_span()
+        # Every delivery is traced in ``full`` mode and on the slow
+        # reference path; under a fault plan ``sampled`` mode decides
+        # per copy at fire time, after the arrival check.
+        traced = (
+            _obs.ENABLED
+            or _fastpath.SLOW_PATH
+            or (injector is not None and _obs.TRACING)
+        )
+        if traced:
+            delay = self.latency(src_host.address, dst)
+        else:
+            delay = self._latency_fast(src_host.address, dst)
+        delays = None
+        if injector is not None:
+            delays = injector.on_send(packet, delay)
+            if delays is not None:
+                if not delays:
+                    self._count_dropped()
+                    return packet  # injected loss / crash / partition
+                self.packets_duplicated += len(delays) - 1
+        if traced:
+            # Capture the span active *now* so the delivery -- which
+            # fires later, outside any ``with`` block -- still links
+            # causally to whatever sent it.
+            origin = get_tracer().current_span() if _obs.TRACING else None
+            for copy_delay in delays or (delay,):
                 self.packets_in_flight += 1
                 simulator.schedule(
-                    self._latency_fast(src_host.address, dst),
-                    lambda: self._deliver(packet, origin, True),
+                    copy_delay, lambda: self._deliver(packet, origin)
                 )
-                return packet
-            # Fast path: exactly one copy, no injector consult, no
-            # span capture -- schedule a pooled slotted event instead
-            # of a closure.
+            return packet
+        sampler = _obs.SAMPLER
+        if sampler is not None and sampler.decide("deliver"):
+            # Sampled tier (no fault plan), head decision says trace:
+            # schedule an explicitly traced delivery.
+            origin = get_tracer().current_span()
             self.packets_in_flight += 1
-            pool = self._delivery_pool
+            simulator.schedule(delay, lambda: self._deliver(packet, origin, True))
+            return packet
+        # One pooled slotted event per copy instead of a closure.
+        pool = self._delivery_pool
+        for copy_delay in delays or (delay,):
+            self.packets_in_flight += 1
             if pool:
                 event = pool.pop()
                 event.packet = packet
             else:
                 event = _Delivery(self, packet)
-            simulator.schedule(self._latency_fast(src_host.address, dst), event)
-            return packet
-        delay = self.latency(src_host.address, dst)
-        delays = [delay]
-        if injector is not None:
-            impaired = injector.on_send(packet, delay)
-            if impaired is not None:
-                if not impaired:
-                    self._count_dropped()
-                    return packet  # injected loss / crash / partition
-                delays = impaired
-                self.packets_duplicated += len(delays) - 1
-        if _obs.TRACING:
-            # Capture the span active *now* so the delivery -- which
-            # fires later, outside any ``with`` block -- still links
-            # causally to whatever sent it.  In ``sampled`` mode the
-            # trace decision itself is made at fire time (per copy).
-            origin = get_tracer().current_span()
-            for copy_delay in delays:
-                self.packets_in_flight += 1
-                self.simulator.schedule(
-                    copy_delay, lambda: self._deliver(packet, origin)
-                )
-        else:
-            for copy_delay in delays:
-                self.packets_in_flight += 1
-                self.simulator.schedule(copy_delay, lambda: self._deliver(packet))
+            simulator.schedule(copy_delay, event)
         return packet
 
     def _count_dropped(self) -> None:
@@ -529,13 +541,15 @@ class Network:
     def _deliver_fast(self, packet: Packet) -> None:
         """The batched delivery pipeline.
 
-        Taken only when full observability is off (the ``off`` /
-        ``counters`` tiers, and the unsampled remainder of ``sampled``),
-        no fault injector is installed, and ``REPRO_SLOW_PATH`` is
-        unset; semantically identical to ``_deliver`` +
-        ``_deliver_inner`` under those preconditions (the differential
-        goldens in tests/test_drive_fastpath.py pin byte-identical
-        artifacts).  Differences are purely mechanical: one merged
+        Taken for every untraced delivery: full observability off (the
+        ``off`` / ``counters`` tiers, and the unsampled remainder of
+        ``sampled`` when no fault plan is installed) and
+        ``REPRO_SLOW_PATH`` unset.  A fault injector's ``on_deliver``
+        check has already passed (``_Delivery.__call__``).
+        Semantically identical to ``_deliver`` + ``_deliver_inner``
+        under those preconditions (the differential goldens in
+        tests/test_drive_fastpath.py and tests/test_fault_goldens.py
+        pin byte-identical artifacts).  Differences are purely mechanical: one merged
         frame, memoized observer lists, batched ledger appends via
         ``Entity.observe``'s fast route, and -- in the batched obs
         tiers -- one slotted accumulator update instead of per-value

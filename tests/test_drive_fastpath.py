@@ -14,9 +14,10 @@ byte of an exported artifact.  Three layers of evidence:
    same observations and query-visible state as sequential ``record``,
    and ``collect_values`` equals ``list(walk_values)`` on arbitrary
    nested payloads;
-3. precondition assertions -- no fast-path delivery is ever taken when
-   observability or a fault injector is active, so PR 1/PR 5 semantics
-   cannot be bypassed.
+3. precondition assertions -- no fast-path delivery is ever taken in
+   ``full`` observability or under the slow toggle, while an untraced
+   fault plan keeps *every* delivery on the fast path with its
+   arrival-time crash/partition check still applied.
 """
 
 import io
@@ -229,14 +230,40 @@ def test_no_fast_path_under_observability():
     assert network.messages_delivered == 1
 
 
-def test_no_fast_path_with_fault_injector():
+@pytest.mark.parametrize("mode", ["off", "counters"])
+def test_fault_injected_deliveries_take_fast_path(mode):
+    """Under an untraced fault plan every delivery is a fast one.
+
+    The fault checks run inside the pooled pipeline (``on_send`` at
+    send, ``on_deliver`` when the event fires); there is no second
+    delivery route for faulted runs.
+    """
+    if fastpath.SLOW_PATH:
+        pytest.skip("ambient REPRO_SLOW_PATH=1: the fast path is off")
+    plan = FaultPlan.uniform_loss(0.15, seed=3)
+    with obs.capture(mode=mode):
+        run = run_scenario("odns", faults=plan)
+    network = run.network
+    assert run.fault_summary["stats"]["loss_drops"] > 0
+    assert network.messages_delivered > 0
+    assert network.fast_deliveries == network.messages_delivered
+
+
+def test_crash_in_flight_drops_packet_at_delivery():
+    """A destination that crashes mid-flight drops the packet on arrival."""
     network, user, server = _mini_network()
-    # An empty plan: the injector is a pass-through, but its mere
-    # presence must force the fully instrumented path.
-    FaultRuntime(FaultPlan(), network).install()
+    # Sent at t=0 with the default 10 ms latency; the server
+    # fail-stops at 5 ms, while the packet is on the wire.
+    runtime = FaultRuntime(FaultPlan.crash("server", at=0.005), network)
+    runtime.install()
     _drive_once(network, user, server)
+    assert runtime.stats.crashes == 1
+    assert runtime.stats.crash_drops == 1
+    assert network.messages_delivered == 0
     assert network.fast_deliveries == 0
-    assert network.messages_delivered == 1
+    assert network.packets_dropped == 1
+    assert network.packets_in_flight == 0
+    assert network.packets_sent == 1
 
 
 def test_no_fast_path_under_slow_toggle():

@@ -185,6 +185,29 @@ class TestFaultSemantics:
         assert issubclass(TransactTimeout, RuntimeError)
 
 
+class TestPhaseGuard:
+    """``drive``/``settle`` absorb lost-request timeouts, nothing else."""
+
+    LOSSY = FaultPlan.uniform_loss(0.4, seed=0)
+
+    def test_timeout_in_drive_is_recorded(self):
+        run = run_scenario("vpn", faults=self.LOSSY)
+        errors = run.fault_summary["stats"]["phase_errors"]
+        assert len(errors) == 1
+        assert errors[0].startswith("drive: TransactTimeout: ")
+
+    def test_programming_error_in_drive_propagates(self):
+        def break_drive(event, phase, program):
+            if event == "before" and phase == "drive":
+                def drive():
+                    raise TypeError("injected")
+
+                program.drive = drive
+
+        with pytest.raises(TypeError, match="injected"):
+            run_scenario("vpn", hooks=(break_drive,), faults=self.LOSSY)
+
+
 class TestAcceptanceOdohProxyCrash:
     """The issue's acceptance criterion, end to end through the CLI."""
 
